@@ -63,22 +63,25 @@ func newAuditLog(capacity int) *auditLog {
 	return &auditLog{entries: make([]AuditEntry, capacity)}
 }
 
-func (l *auditLog) record(e AuditEntry) AuditEntry {
+// recordAll appends es to the ring under one lock acquisition, so they get
+// consecutive sequence numbers; each element of es is stamped with its Seq.
+func (l *auditLog) recordAll(es []AuditEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.seq++
-	e.Seq = l.seq
-	if l.full {
-		// The slot being claimed still holds the oldest unread entry.
-		l.overwritten++
-		l.mOverwritten.Inc()
+	for i := range es {
+		l.seq++
+		es[i].Seq = l.seq
+		if l.full {
+			// The slot being claimed still holds the oldest unread entry.
+			l.overwritten++
+			l.mOverwritten.Inc()
+		}
+		l.entries[l.next] = es[i]
+		l.next = (l.next + 1) % len(l.entries)
+		if l.next == 0 {
+			l.full = true
+		}
 	}
-	l.entries[l.next] = e
-	l.next = (l.next + 1) % len(l.entries)
-	if l.next == 0 {
-		l.full = true
-	}
-	return e
 }
 
 // snapshot returns entries oldest-first.
@@ -144,11 +147,13 @@ func (e *Engine) AuditStats() AuditStats {
 
 // SetAuditPersist journals every audit entry through fn as a JSON blob —
 // the durable repository's AppendAudit slots in here, making the audit
-// trail survive restarts alongside the data it accounts for. Install it
-// before the engine serves traffic. Persist failures are counted
+// trail survive restarts alongside the data it accounts for. Each call
+// carries every entry of one decision pass in ring order: one entry for a
+// single decision, one per governed resource for a view rebuild. Install it
+// before the engine serves traffic. Persist failures are counted per entry
 // (grdf_audit_persist_errors_total) but do not fail the decision: the
 // authorization outcome must not depend on audit I/O.
-func (e *Engine) SetAuditPersist(fn func([]byte) error) {
+func (e *Engine) SetAuditPersist(fn func(...[]byte) error) {
 	e.auditPersist = fn
 	e.mAuditPersistErr = e.metrics.Counter("grdf_audit_persist_errors_total",
 		"Audit entries that could not be journaled durably.")
@@ -163,39 +168,41 @@ func (e *Engine) RestoreAudit(payloads [][]byte) int {
 	if e.audit == nil {
 		return 0
 	}
-	n := 0
+	entries := make([]AuditEntry, 0, len(payloads))
 	for _, p := range payloads {
 		var entry AuditEntry
 		if err := json.Unmarshal(p, &entry); err != nil {
 			continue
 		}
-		e.audit.record(entry)
-		n++
+		entries = append(entries, entry)
 	}
-	return n
+	e.audit.recordAll(entries)
+	return len(entries)
 }
 
-// recordAudit is called by Decide when auditing is enabled.
-func (e *Engine) recordAudit(subject, action rdf.IRI, resource rdf.Term, acc Access) {
-	if e.audit == nil {
+// recordAudit records entries into the ring, in order and under one lock,
+// then journals them with one persist call. Callers check that auditing is
+// enabled before building entries.
+func (e *Engine) recordAudit(entries ...AuditEntry) {
+	if len(entries) == 0 {
 		return
 	}
-	stored := e.audit.record(AuditEntry{
-		Subject:  subject,
-		Action:   action,
-		Resource: resource.String(),
-		Allowed:  acc.Allowed,
-		Full:     acc.Full,
-		Policies: append([]rdf.IRI(nil), acc.Matched...),
-	})
+	e.audit.recordAll(entries)
 	if e.auditPersist == nil {
 		return
 	}
-	blob, err := json.Marshal(stored)
-	if err == nil {
-		err = e.auditPersist(blob)
+	blobs := make([][]byte, 0, len(entries))
+	for _, entry := range entries {
+		blob, err := json.Marshal(entry)
+		if err != nil {
+			e.mAuditPersistErr.Inc()
+			continue
+		}
+		blobs = append(blobs, blob)
 	}
-	if err != nil {
-		e.mAuditPersistErr.Inc()
+	if len(blobs) > 0 {
+		if err := e.auditPersist(blobs...); err != nil {
+			e.mAuditPersistErr.Add(float64(len(blobs)))
+		}
 	}
 }

@@ -66,7 +66,7 @@ type Engine struct {
 
 	// auditPersist, when set, journals every audit entry durably (see
 	// SetAuditPersist).
-	auditPersist     func([]byte) error
+	auditPersist     func(...[]byte) error
 	mAuditPersistErr *obs.Counter
 
 	// metrics is the observability registry (nil disables; every handle
@@ -169,18 +169,18 @@ func (a Access) PropertyVisible(p rdf.IRI, r Reasoner) bool {
 	if !a.Allowed {
 		return false
 	}
-	if a.denied != nil {
-		for d := range a.denied {
-			if r.IsSubPropertyOf(p, d) {
-				return false
-			}
+	var pt rdf.Term = p
+	for d := range a.denied {
+		if r.IsSubPropertyOf(pt, d) {
+			return false
 		}
 	}
-	if a.Full {
+	if a.Full || a.Properties[p] {
+		// A direct grant needs no reasoning: ⊑ is reflexive.
 		return true
 	}
 	for allowed := range a.Properties {
-		if r.IsSubPropertyOf(p, allowed) {
+		if r.IsSubPropertyOf(pt, allowed) {
 			return true
 		}
 	}
@@ -195,21 +195,10 @@ func (a Access) PropertyVisible(p rdf.IRI, r Reasoner) bool {
 // geometry to lie within the scope. Conflicts resolve by priority; at equal
 // priority deny overrides permit.
 func (e *Engine) Decide(subject, action rdf.IRI, resource rdf.Term) Access {
-	var start time.Time
-	if e.metrics != nil {
-		start = time.Now()
-	}
-	acc := e.decide(subject, action, resource)
-	e.recordAudit(subject, action, resource, acc)
-	if e.metrics != nil {
-		if acc.Allowed {
-			e.mAllowed.Inc()
-		} else {
-			e.mDenied.Inc()
-		}
-		e.metrics.Histogram("grdf_decision_duration_seconds",
-			"Decision-engine latency by role.", nil,
-			"role", subject.LocalName()).ObserveSince(start)
+	dc := e.decisionContext(subject, action)
+	acc := dc.decide(resource)
+	if e.audit != nil {
+		e.recordAudit(dc.auditEntry(resource, acc))
 	}
 	return acc
 }
@@ -237,18 +226,88 @@ func (e *Engine) DecideCtx(ctx context.Context, subject, action rdf.IRI, resourc
 	return acc, nil
 }
 
-// decide is the un-instrumented decision procedure.
-func (e *Engine) decide(subject, action rdf.IRI, resource rdf.Term) Access {
-	rules := e.policies.ForSubject(subject)
+// decisionCtx is what every decision for one (subject, action) pair shares:
+// the subject's rules for that action in priority order, the reasoner read
+// once, and the per-role latency histogram. A view rebuild decides every
+// governed resource through one context.
+type decisionCtx struct {
+	e       *Engine
+	subject rdf.IRI
+	action  rdf.IRI
+	rules   []seconto.Rule
+	// covered holds each rule's Resource as a Term, boxed once for the
+	// reasoner calls.
+	covered  []rdf.Term
+	reasoner Reasoner
+	hist     *obs.Histogram
+}
+
+func (e *Engine) decisionContext(subject, action rdf.IRI) *decisionCtx {
+	dc := &decisionCtx{e: e, subject: subject, action: action, reasoner: e.Reasoner()}
+	for _, r := range e.policies.ForSubject(subject) {
+		if r.Action == action {
+			dc.rules = append(dc.rules, r)
+			dc.covered = append(dc.covered, r.Resource)
+		}
+	}
+	if e.metrics != nil {
+		dc.hist = e.metrics.Histogram("grdf_decision_duration_seconds",
+			"Decision-engine latency by role.", nil,
+			"role", subject.LocalName())
+	}
+	return dc
+}
+
+// decide runs the decision procedure for one resource and counts its
+// outcome. Auditing is the caller's job (see auditEntry).
+func (dc *decisionCtx) decide(resource rdf.Term) Access {
+	var start time.Time
+	if dc.hist != nil {
+		start = time.Now()
+	}
+	acc := dc.evaluate(resource)
+	if dc.hist != nil {
+		if acc.Allowed {
+			dc.e.mAllowed.Inc()
+		} else {
+			dc.e.mDenied.Inc()
+		}
+		dc.hist.ObserveSince(start)
+	}
+	return acc
+}
+
+// auditEntry describes the decision acc on resource for the audit trail.
+func (dc *decisionCtx) auditEntry(resource rdf.Term, acc Access) AuditEntry {
+	return AuditEntry{
+		Subject:  dc.subject,
+		Action:   dc.action,
+		Resource: resource.String(),
+		Allowed:  acc.Allowed,
+		Full:     acc.Full,
+		Policies: append([]rdf.IRI(nil), acc.Matched...),
+	}
+}
+
+// resourceFacts holds what the rules ask about one resource, each read on
+// first use: its types (entailed, then asserted) and its geometry.
+type resourceFacts struct {
+	types     []rdf.Term
+	typesRead bool
+	geom      geom.Geometry
+	geomErr   error
+	geomRead  bool
+}
+
+// evaluate is the un-instrumented decision procedure.
+func (dc *decisionCtx) evaluate(resource rdf.Term) Access {
+	var facts resourceFacts
 	var applicable []seconto.Rule
-	for _, r := range rules {
-		if r.Action != action {
+	for i, r := range dc.rules {
+		if !dc.covers(dc.covered[i], resource, &facts) {
 			continue
 		}
-		if !e.resourceMatches(r.Resource, resource) {
-			continue
-		}
-		if r.SpatialScope != nil && !e.withinScope(resource, *r.SpatialScope) {
+		if r.SpatialScope != nil && !dc.withinScope(resource, *r.SpatialScope, &facts) {
 			continue
 		}
 		applicable = append(applicable, r)
@@ -293,32 +352,35 @@ func (e *Engine) decide(subject, action rdf.IRI, resource rdf.Term) Access {
 	return acc
 }
 
-// resourceMatches checks policy resource coverage of a concrete resource.
-func (e *Engine) resourceMatches(policyRes rdf.IRI, resource rdf.Term) bool {
+// covers reports whether a policy over policyRes covers resource: the
+// resource itself, or any of its types — entailed by the reasoner or
+// asserted in the data, for when the reasoner is external to the data — up
+// to subclass entailment.
+func (dc *decisionCtx) covers(policyRes, resource rdf.Term, f *resourceFacts) bool {
 	if policyRes.Equal(resource) {
 		return true
 	}
-	reasoner := e.Reasoner()
-	for _, ty := range reasoner.TypesOf(resource) {
-		if reasoner.IsSubClassOf(ty, policyRes) {
-			return true
-		}
+	if !f.typesRead {
+		entailed := dc.reasoner.TypesOf(resource)
+		asserted := dc.e.data.Objects(resource, rdf.RDFType)
+		f.types = make([]rdf.Term, 0, len(entailed)+len(asserted))
+		f.types = append(append(f.types, entailed...), asserted...)
+		f.typesRead = true
 	}
-	// Also check direct data types when the reasoner is external to data.
-	for _, ty := range e.data.Objects(resource, rdf.RDFType) {
-		if reasoner.IsSubClassOf(ty, policyRes) {
+	for _, ty := range f.types {
+		if dc.reasoner.IsSubClassOf(ty, policyRes) {
 			return true
 		}
 	}
 	return false
 }
 
-func (e *Engine) withinScope(resource rdf.Term, scope geom.Envelope) bool {
-	g, _, err := grdf.GeometryOf(e.data, resource)
-	if err != nil {
-		return false
+func (dc *decisionCtx) withinScope(resource rdf.Term, scope geom.Envelope, f *resourceFacts) bool {
+	if !f.geomRead {
+		f.geom, _, f.geomErr = grdf.GeometryOf(dc.e.data, resource)
+		f.geomRead = true
 	}
-	return geom.Within(g, scope)
+	return f.geomErr == nil && geom.Within(f.geom, scope)
 }
 
 // NewOWLReasoner materializes the given ontologies plus the data and returns

@@ -21,10 +21,15 @@ import (
 // are structural nodes (geometry/envelope blank nodes, condition values…)
 // are included transitively so the result is self-contained.
 func (e *Engine) FilterResource(resource rdf.Term, acc Access) []rdf.Triple {
+	return e.filterResource(nil, resource, acc, e.Reasoner())
+}
+
+// filterResource appends the triples of resource visible under acc to out,
+// judging subproperty entailment with reasoner.
+func (e *Engine) filterResource(out []rdf.Triple, resource rdf.Term, acc Access, reasoner Reasoner) []rdf.Triple {
 	if !acc.Allowed {
-		return nil
+		return out
 	}
-	var out []rdf.Triple
 	seen := map[rdf.Triple]struct{}{}
 	add := func(t rdf.Triple) {
 		if _, dup := seen[t]; !dup {
@@ -47,7 +52,7 @@ func (e *Engine) FilterResource(resource rdf.Term, acc Access) []rdf.Triple {
 			add(t)
 			continue
 		}
-		if !acc.PropertyVisible(pred, e.Reasoner()) {
+		if !acc.PropertyVisible(pred, reasoner) {
 			continue
 		}
 		add(t)
@@ -119,32 +124,55 @@ func (e *Engine) ViewCtx(ctx context.Context, subject, action rdf.IRI) *store.St
 	return view
 }
 
+// buildView decides every governed resource through one decision context,
+// gathers the visible triples, and copies them into the view with a single
+// commit. The view shares the data's dictionary: every term it holds is
+// already interned there, so building it interns nothing, and the decisions
+// are journaled as one audit batch.
 func (e *Engine) buildView(subject, action rdf.IRI) *store.Store {
-	view := store.New()
-	for _, res := range e.governedResources() {
-		acc := e.Decide(subject, action, res)
-		if !acc.Allowed {
-			continue
-		}
-		view.AddAll(e.FilterResource(res, acc))
+	dc := e.decisionContext(subject, action)
+	resources := e.governedResources()
+	var audit []AuditEntry
+	if e.audit != nil {
+		audit = make([]AuditEntry, 0, len(resources))
 	}
+	var visible []rdf.Triple
+	for _, res := range resources {
+		acc := dc.decide(res)
+		if audit != nil {
+			audit = append(audit, dc.auditEntry(res, acc))
+		}
+		if acc.Allowed {
+			visible = e.filterResource(visible, res, acc, dc.reasoner)
+		}
+	}
+	e.recordAudit(audit...)
+	view := store.NewWithDict(e.data.Dict())
+	view.AddAll(visible)
 	return view
 }
 
 // governedResources enumerates every subject in the data store that has an
-// rdf:type (candidate resources), sorted for determinism.
+// rdf:type (candidate resources), sorted by term string for determinism.
 func (e *Engine) governedResources() []rdf.Term {
-	seen := map[string]struct{}{}
-	var out []rdf.Term
+	type keyed struct {
+		key  string
+		term rdf.Term
+	}
+	seen := map[rdf.Term]struct{}{}
+	var ks []keyed
 	e.data.ForEachMatch(nil, rdf.RDFType, nil, func(t rdf.Triple) bool {
-		k := t.Subject.String()
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			out = append(out, t.Subject)
+		if _, dup := seen[t.Subject]; !dup {
+			seen[t.Subject] = struct{}{}
+			ks = append(ks, keyed{t.Subject.String(), t.Subject})
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	out := make([]rdf.Term, len(ks))
+	for i, k := range ks {
+		out[i] = k.term
+	}
 	return out
 }
 

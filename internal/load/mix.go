@@ -3,6 +3,7 @@ package load
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -147,21 +148,32 @@ func ScenarioArms(cfg MixConfig) ([]Arm, error) {
 	}
 	if cfg.WriterRole != "" && cfg.MutateWeight > 0 {
 		var seq atomic.Uint64
-		u := base + "/v1/insert?role=" + url.QueryEscape(cfg.WriterRole)
+		u := base + "/v1/mutate?role=" + url.QueryEscape(cfg.WriterRole)
+		name := func(k uint64) string {
+			return fmt.Sprintf("<%s> <http://grdf.org/app#hasSiteName> \"loadgen-%d\" .", cfg.MutateSite, k)
+		}
 		arms = append(arms, Arm{
 			Name:   "mutate:" + cfg.WriterRole,
 			Weight: cfg.MutateWeight,
+			// Each write is one atomic batch that swaps the site between two
+			// extra names: insert one, delete the other. Every write moves the
+			// generation (so readers rebuild their views, as after any real
+			// write), while the data grows by at most one triple however long
+			// the run.
 			Do: func(ctx context.Context) (Outcome, error) {
-				n := seq.Add(1)
-				body := fmt.Sprintf(
-					"<%s> <http://grdf.org/app#hasSiteName> \"loadgen-%d\" .\n",
-					cfg.MutateSite, n)
-				req, err := http.NewRequestWithContext(ctx, http.MethodPost, u,
-					strings.NewReader(body))
+				k := seq.Add(1) % 2
+				body, err := json.Marshal([]map[string]string{
+					{"op": "insert", "triples": name(k)},
+					{"op": "delete", "triples": name(1 - k)},
+				})
 				if err != nil {
 					return Error, err
 				}
-				req.Header.Set("Content-Type", "application/n-triples")
+				req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
+				if err != nil {
+					return Error, err
+				}
+				req.Header.Set("Content-Type", "application/json")
 				return classify(client.Do(req))
 			},
 		})

@@ -13,11 +13,12 @@ import (
 	"repro/internal/gsacs"
 	"repro/internal/rdf"
 	"repro/internal/seconto"
+	"repro/internal/store"
 )
 
 // testServer spins up a gsacs server over the built-in scenario with a
 // writer role, mirroring gsacs-server -writer-role Writer.
-func testServer(t *testing.T) (*httptest.Server, string) {
+func testServer(t *testing.T) (*httptest.Server, string, *store.Store) {
 	t.Helper()
 	sc := datagen.NewScenario(datagen.ScenarioConfig{Seed: 7, Sites: 4})
 	writer := rdf.IRI(seconto.NS + "Writer")
@@ -34,11 +35,11 @@ func testServer(t *testing.T) (*httptest.Server, string) {
 	e := gsacs.New(sc.Policies, sc.Merged, gsacs.Options{Reasoner: reasoner})
 	srv := httptest.NewServer(gsacs.NewServer(e, nil))
 	t.Cleanup(srv.Close)
-	return srv, string(sc.Chemical.Sites[0].IRI)
+	return srv, string(sc.Chemical.Sites[0].IRI), sc.Merged
 }
 
 func TestScenarioArmsEndToEnd(t *testing.T) {
-	srv, site := testServer(t)
+	srv, site, _ := testServer(t)
 	arms, err := ScenarioArms(MixConfig{
 		BaseURL:    srv.URL,
 		Client:     srv.Client(),
@@ -57,6 +58,48 @@ func TestScenarioArmsEndToEnd(t *testing.T) {
 		if out != OK || err != nil {
 			t.Errorf("arm %s: outcome %v err %v", arm.Name, out, err)
 		}
+	}
+}
+
+// TestMutateArmBoundedWrites: every write of the mutate arm must move the
+// generation, so readers rebuild as after any real write, while the data
+// stays the same size however many writes a run makes.
+func TestMutateArmBoundedWrites(t *testing.T) {
+	srv, site, data := testServer(t)
+	arms, err := ScenarioArms(MixConfig{
+		BaseURL:      srv.URL,
+		Client:       srv.Client(),
+		WriterRole:   "Writer",
+		MutateSite:   site,
+		MutateWeight: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mutate *Arm
+	for i := range arms {
+		if arms[i].Name == "mutate:Writer" {
+			mutate = &arms[i]
+		}
+	}
+	if mutate == nil {
+		t.Fatal("no mutate arm")
+	}
+	n0, gen0 := data.Len(), data.Generation()
+	for i := 0; i < 200; i++ {
+		gen := data.Generation()
+		if out, err := mutate.Do(context.Background()); out != OK || err != nil {
+			t.Fatalf("write %d: outcome %v err %v", i, out, err)
+		}
+		if data.Generation() == gen {
+			t.Fatalf("write %d left the generation at %d", i, gen)
+		}
+	}
+	if grew := data.Len() - n0; grew > 2 {
+		t.Fatalf("200 writes grew the data by %d triples", grew)
+	}
+	if data.Generation() <= gen0 {
+		t.Fatal("generation did not advance")
 	}
 }
 
@@ -131,7 +174,7 @@ func TestScenarioArmsRoundRobin(t *testing.T) {
 // TestRunAgainstLiveServer is the harness acceptance loop: a short open-loop
 // run against a real server must complete with zero errors and a verdict.
 func TestRunAgainstLiveServer(t *testing.T) {
-	srv, site := testServer(t)
+	srv, site, _ := testServer(t)
 	arms, err := ScenarioArms(MixConfig{
 		BaseURL:    srv.URL,
 		Client:     srv.Client(),

@@ -12,6 +12,7 @@ package rdf
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three RDF term categories.
@@ -123,6 +124,7 @@ func (Literal) Kind() TermKind { return KindLiteral }
 // String renders the literal in N-Triples syntax with escaping.
 func (l Literal) String() string {
 	var sb strings.Builder
+	sb.Grow(len(l.Value) + len(l.Lang) + len(l.Datatype) + 6)
 	sb.WriteByte('"')
 	sb.WriteString(EscapeLiteral(l.Value))
 	sb.WriteByte('"')
@@ -180,7 +182,13 @@ func HashTerm(t Term) uint64 {
 
 // EscapeLiteral escapes a literal's lexical form for N-Triples/Turtle output.
 func EscapeLiteral(s string) string {
+	if !strings.ContainsAny(s, "\\\"\n\r\t") && utf8.ValidString(s) {
+		// Nothing to escape, and no invalid byte for the loop below to
+		// replace with U+FFFD.
+		return s
+	}
 	var sb strings.Builder
+	sb.Grow(len(s) + 8)
 	for _, r := range s {
 		switch r {
 		case '\\':

@@ -1,6 +1,9 @@
 package store
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file implements the persistent (immutable, structurally shared) map
 // that backs the MVCC triple indexes. It is a hash-array-mapped-trie
@@ -9,11 +12,18 @@ import "math/bits"
 // dictionary hands out spread evenly across the fanout-32 nodes and the trie
 // stays shallow (depth ≤ 7 for the full 32-bit key space).
 //
-// Updates path-copy: With/Without allocate only the nodes along the root →
+// Updates path-copy: with/without allocate only the nodes along the root →
 // leaf path (≤ 7 nodes) and share everything else with the previous map, so
 // publishing a new store version after a mutation is O(log n) allocation
 // while every previously captured version stays valid and immutable forever.
 // A nil *pmap is the canonical empty map; all methods are nil-safe.
+//
+// One commit need not pay that copy more than once per node. Every node an
+// update creates while a marks list is supplied is flagged mutable, and later
+// updates through the same list change flagged nodes in place instead of
+// copying them again. The commit builder clears every flag when the waiter
+// that set it ends (see marks), so a node reachable from a published version
+// or from a rollback point is never flagged and never changes.
 
 const (
 	pmBits   = 5
@@ -34,17 +44,51 @@ type pentry[V any] struct {
 
 // pnode is a bitmap-compressed trie node: bit i of bitmap is set iff slot i
 // is occupied, and entries holds the occupied slots packed in slot order.
+// mutable marks a node created by the commit waiter now being applied; it
+// sits in the padding after bitmap, so a node stays 32 bytes.
 type pnode[V any] struct {
 	bitmap  uint32
+	mutable bool
 	entries []pentry[V]
 }
 
 // pmap pairs a root node with a cached element count so Len is O(1) — the
-// planner's cardinality estimates depend on that.
+// planner's cardinality estimates depend on that. A pmap whose root is
+// mutable was created by the current waiter and is updated in place too.
 type pmap[V any] struct {
 	root *pnode[V]
 	n    int
 }
+
+// marks lists the mutable flags one commit waiter has set. A nil *marks
+// makes every update a plain path copy.
+type marks struct {
+	flags []*bool
+}
+
+// newNode returns a node, flagged mutable and recorded when mk is non-nil.
+func newNode[V any](mk *marks, bitmap uint32, entries []pentry[V]) *pnode[V] {
+	nd := &pnode[V]{bitmap: bitmap, entries: entries}
+	if mk != nil {
+		nd.mutable = true
+		mk.flags = append(mk.flags, &nd.mutable)
+	}
+	return nd
+}
+
+// freeze clears every flag recorded since the last freeze. After it, all
+// nodes the waiter built are as immutable as any published node.
+func (mk *marks) freeze() {
+	for i, f := range mk.flags {
+		*f = false
+		mk.flags[i] = nil
+	}
+	mk.flags = mk.flags[:0]
+}
+
+// owned reports whether m was created by the current waiter, and may
+// therefore be updated in place.
+func (m *pmap[V]) owned() bool { return m != nil && m.root.mutable }
 
 // Len returns the number of entries. Nil-safe.
 func (m *pmap[V]) Len() int {
@@ -79,34 +123,47 @@ func (m *pmap[V]) Get(key ID) (V, bool) {
 	return zero, false
 }
 
-// With returns a map with key bound to val, sharing structure with m.
-// added reports whether key was absent before.
-func (m *pmap[V]) With(key ID, val V) (*pmap[V], bool) {
+// with returns a map with key bound to val. added reports whether key was
+// absent before. A map owned by the current waiter is updated and returned
+// in place; any other map is left unchanged and shares structure with the
+// result.
+func (m *pmap[V]) with(key ID, val V, mk *marks) (*pmap[V], bool) {
+	if m.owned() {
+		_, added := pnodeWith(m.root, key, val, 0, mk)
+		if added {
+			m.n++
+		}
+		return m, added
+	}
 	var root *pnode[V]
 	n := 0
 	if m != nil {
 		root, n = m.root, m.n
 	}
-	nr, added := pnodeWith(root, key, val, 0)
+	nr, added := pnodeWith(root, key, val, 0, mk)
 	if added {
 		n++
 	}
 	return &pmap[V]{root: nr, n: n}, added
 }
 
-// Without returns a map with key removed, sharing structure with m.
-// removed reports whether key was present. Removing the last entry returns
-// nil (the canonical empty map).
-func (m *pmap[V]) Without(key ID) (*pmap[V], bool) {
+// without returns a map with key removed, in place when the current waiter
+// owns m. removed reports whether key was present. Removing the last entry
+// returns nil (the canonical empty map).
+func (m *pmap[V]) without(key ID, mk *marks) (*pmap[V], bool) {
 	if m == nil {
 		return nil, false
 	}
-	nr, removed := pnodeWithout(m.root, key, 0)
+	nr, removed := pnodeWithout(m.root, key, 0, mk)
 	if !removed {
 		return m, false
 	}
 	if m.n == 1 {
 		return nil, true
+	}
+	if m.owned() {
+		m.n--
+		return m, true
 	}
 	return &pmap[V]{root: nr, n: m.n - 1}, true
 }
@@ -121,16 +178,62 @@ func (m *pmap[V]) Range(fn func(ID, V) bool) bool {
 	return pnodeRange(m.root, fn)
 }
 
+// check verifies m's structure: the cached count matches the entries, every
+// bitmap matches its node's entries, and no node is still mutable — a
+// published map must be frozen.
+func (m *pmap[V]) check() error {
+	if m == nil {
+		return nil
+	}
+	if m.root == nil {
+		return fmt.Errorf("non-nil map with nil root")
+	}
+	n, err := pnodeCheck(m.root)
+	if err != nil {
+		return err
+	}
+	if n != m.n {
+		return fmt.Errorf("cached count %d != %d entries", m.n, n)
+	}
+	return nil
+}
+
+func pnodeCheck[V any](nd *pnode[V]) (int, error) {
+	if nd.mutable {
+		return 0, fmt.Errorf("node left mutable")
+	}
+	if bits.OnesCount32(nd.bitmap) != len(nd.entries) || len(nd.entries) == 0 {
+		return 0, fmt.Errorf("bitmap %032b does not match %d entries", nd.bitmap, len(nd.entries))
+	}
+	n := 0
+	for i := range nd.entries {
+		if c := nd.entries[i].node; c != nil {
+			k, err := pnodeCheck(c)
+			if err != nil {
+				return 0, err
+			}
+			n += k
+		} else {
+			n++
+		}
+	}
+	return n, nil
+}
+
 func cloneEntries[V any](es []pentry[V]) []pentry[V] {
 	out := make([]pentry[V], len(es))
 	copy(out, es)
 	return out
 }
 
-func pnodeWith[V any](nd *pnode[V], key ID, val V, shift uint) (*pnode[V], bool) {
+// pnodeWith binds key to val beneath nd. A mutable nd is updated in place
+// and returned; any other nd is path-copied. A slot insertion always
+// allocates the entries at their exact new size, so mutable nodes carry no
+// append slack.
+func pnodeWith[V any](nd *pnode[V], key ID, val V, shift uint, mk *marks) (*pnode[V], bool) {
 	bit := uint32(1) << ((key >> shift) & pmMask)
 	if nd == nil {
-		return &pnode[V]{bitmap: bit, entries: []pentry[V]{{key: key, val: val}}}, true
+		return newNode(mk, bit, []pentry[V]{{key: key, val: val}}), true
 	}
 	idx := bits.OnesCount32(nd.bitmap & (bit - 1))
 	if nd.bitmap&bit == 0 {
@@ -138,45 +241,62 @@ func pnodeWith[V any](nd *pnode[V], key ID, val V, shift uint) (*pnode[V], bool)
 		copy(ents, nd.entries[:idx])
 		ents[idx] = pentry[V]{key: key, val: val}
 		copy(ents[idx+1:], nd.entries[idx:])
-		return &pnode[V]{bitmap: nd.bitmap | bit, entries: ents}, true
+		if nd.mutable {
+			nd.bitmap |= bit
+			nd.entries = ents
+			return nd, true
+		}
+		return newNode(mk, nd.bitmap|bit, ents), true
 	}
 	e := nd.entries[idx]
-	if e.node != nil {
-		child, added := pnodeWith(e.node, key, val, shift+pmBits)
-		ents := cloneEntries(nd.entries)
-		ents[idx].node = child
-		return &pnode[V]{bitmap: nd.bitmap, entries: ents}, added
+	var ne pentry[V]
+	added := true
+	switch {
+	case e.node != nil:
+		var child *pnode[V]
+		child, added = pnodeWith(e.node, key, val, shift+pmBits, mk)
+		if child == e.node {
+			// Updated in place below; nd already points at it.
+			return nd, added
+		}
+		ne = pentry[V]{node: child}
+	case e.key == key:
+		ne = pentry[V]{key: key, val: val}
+		added = false
+	default:
+		// Two distinct keys share this slot: push both one level down.
+		// Distinct 32-bit keys must diverge by shift 30, so the recursion
+		// terminates.
+		ne = pentry[V]{node: pnodeTwo(e.key, e.val, key, val, shift+pmBits, mk)}
 	}
-	if e.key == key {
-		ents := cloneEntries(nd.entries)
-		ents[idx].val = val
-		return &pnode[V]{bitmap: nd.bitmap, entries: ents}, false
+	if nd.mutable {
+		nd.entries[idx] = ne
+		return nd, added
 	}
-	// Two distinct keys share this slot: push both one level down. Distinct
-	// 32-bit keys must diverge by shift 30, so the recursion terminates.
 	ents := cloneEntries(nd.entries)
-	ents[idx] = pentry[V]{node: pnodeTwo(e.key, e.val, key, val, shift+pmBits)}
-	return &pnode[V]{bitmap: nd.bitmap, entries: ents}, true
+	ents[idx] = ne
+	return newNode(mk, nd.bitmap, ents), added
 }
 
 // pnodeTwo builds the minimal subtree holding two distinct keys starting at
 // shift.
-func pnodeTwo[V any](k1 ID, v1 V, k2 ID, v2 V, shift uint) *pnode[V] {
+func pnodeTwo[V any](k1 ID, v1 V, k2 ID, v2 V, shift uint, mk *marks) *pnode[V] {
 	s1 := (k1 >> shift) & pmMask
 	s2 := (k2 >> shift) & pmMask
 	if s1 == s2 {
-		child := pnodeTwo(k1, v1, k2, v2, shift+pmBits)
-		return &pnode[V]{bitmap: 1 << s1, entries: []pentry[V]{{node: child}}}
+		child := pnodeTwo(k1, v1, k2, v2, shift+pmBits, mk)
+		return newNode(mk, 1<<s1, []pentry[V]{{node: child}})
 	}
 	e1 := pentry[V]{key: k1, val: v1}
 	e2 := pentry[V]{key: k2, val: v2}
 	if s1 > s2 {
 		e1, e2 = e2, e1
 	}
-	return &pnode[V]{bitmap: 1<<s1 | 1<<s2, entries: []pentry[V]{e1, e2}}
+	return newNode(mk, 1<<s1|1<<s2, []pentry[V]{e1, e2})
 }
 
-func pnodeWithout[V any](nd *pnode[V], key ID, shift uint) (*pnode[V], bool) {
+// pnodeWithout removes key beneath nd, in place when nd is mutable.
+func pnodeWithout[V any](nd *pnode[V], key ID, shift uint, mk *marks) (*pnode[V], bool) {
 	if nd == nil {
 		return nil, false
 	}
@@ -186,40 +306,49 @@ func pnodeWithout[V any](nd *pnode[V], key ID, shift uint) (*pnode[V], bool) {
 	}
 	idx := bits.OnesCount32(nd.bitmap & (bit - 1))
 	e := nd.entries[idx]
-	if e.node != nil {
-		child, removed := pnodeWithout(e.node, key, shift+pmBits)
-		if !removed {
+	if e.node == nil {
+		if e.key != key {
 			return nd, false
 		}
-		if child == nil {
-			return pnodeDrop(nd, bit, idx), true
-		}
-		ents := cloneEntries(nd.entries)
-		if len(child.entries) == 1 && child.entries[0].node == nil {
-			// Collapse a single-leaf subtree back into a leaf at this level
-			// so lookups after heavy deletion stay shallow.
-			ents[idx] = child.entries[0]
-		} else {
-			ents[idx].node = child
-		}
-		return &pnode[V]{bitmap: nd.bitmap, entries: ents}, true
+		return pnodeDrop(nd, bit, idx, mk), true
 	}
-	if e.key != key {
+	child, removed := pnodeWithout(e.node, key, shift+pmBits, mk)
+	if !removed {
 		return nd, false
 	}
-	return pnodeDrop(nd, bit, idx), true
+	if child == nil {
+		return pnodeDrop(nd, bit, idx, mk), true
+	}
+	ne := pentry[V]{node: child}
+	if len(child.entries) == 1 && child.entries[0].node == nil {
+		// Collapse a single-leaf subtree back into a leaf at this level so
+		// lookups after heavy deletion stay shallow.
+		ne = child.entries[0]
+	}
+	if nd.mutable {
+		nd.entries[idx] = ne
+		return nd, true
+	}
+	ents := cloneEntries(nd.entries)
+	ents[idx] = ne
+	return newNode(mk, nd.bitmap, ents), true
 }
 
 // pnodeDrop removes entry idx (slot bit) from nd, returning nil when nd
-// becomes empty.
-func pnodeDrop[V any](nd *pnode[V], bit uint32, idx int) *pnode[V] {
+// becomes empty. The remaining entries are reallocated at their exact size.
+func pnodeDrop[V any](nd *pnode[V], bit uint32, idx int, mk *marks) *pnode[V] {
 	if len(nd.entries) == 1 {
 		return nil
 	}
 	ents := make([]pentry[V], len(nd.entries)-1)
 	copy(ents, nd.entries[:idx])
 	copy(ents[idx:], nd.entries[idx+1:])
-	return &pnode[V]{bitmap: nd.bitmap &^ bit, entries: ents}
+	if nd.mutable {
+		nd.bitmap &^= bit
+		nd.entries = ents
+		return nd
+	}
+	return newNode(mk, nd.bitmap&^bit, ents)
 }
 
 func pnodeRange[V any](nd *pnode[V], fn func(ID, V) bool) bool {
@@ -293,26 +422,39 @@ func (ix tindex) card2(a, b ID) int {
 func (ix tindex) keys() int { return ix.m.Len() }
 
 // with returns the index with (a, b, c) present; added reports whether the
-// triple was new. The receiver is unchanged.
-func (ix tindex) with(a, b, c ID) (tindex, bool) {
+// triple was new. Structure owned by the current waiter (see marks) is
+// updated in place; everything else is path-copied and left unchanged. A
+// branch is owned when its middle map is.
+func (ix tindex) with(a, b, c ID, mk *marks) (tindex, bool) {
+	br, ok := ix.m.Get(a)
 	var bm *pmap[*pmap[unit]]
-	sz := 0
-	if br, ok := ix.m.Get(a); ok {
-		bm, sz = br.m, br.size
+	if ok {
+		bm = br.m
 	}
 	inner, _ := bm.Get(b)
-	ni, added := inner.With(c, unit{})
+	ni, added := inner.with(c, unit{}, mk)
 	if !added {
 		return ix, false
 	}
-	nbm, _ := bm.With(b, ni)
-	nm, _ := ix.m.With(a, &l2{m: nbm, size: sz + 1})
+	nbm := bm
+	if ni != inner {
+		nbm, _ = bm.with(b, ni, mk)
+	}
+	if ok && bm.owned() {
+		br.size++
+		return ix, true
+	}
+	size := 1
+	if ok {
+		size = br.size + 1
+	}
+	nm, _ := ix.m.with(a, &l2{m: nbm, size: size}, mk)
 	return tindex{m: nm}, true
 }
 
 // without returns the index with (a, b, c) removed; removed reports whether
 // it was present. Empty branches are dropped so key counts stay exact.
-func (ix tindex) without(a, b, c ID) (tindex, bool) {
+func (ix tindex) without(a, b, c ID, mk *marks) (tindex, bool) {
 	br, ok := ix.m.Get(a)
 	if !ok {
 		return ix, false
@@ -321,20 +463,26 @@ func (ix tindex) without(a, b, c ID) (tindex, bool) {
 	if !ok {
 		return ix, false
 	}
-	ni, removed := inner.Without(c)
+	ni, removed := inner.without(c, mk)
 	if !removed {
 		return ix, false
 	}
 	if br.size == 1 {
-		nm, _ := ix.m.Without(a)
+		nm, _ := ix.m.without(a, mk)
 		return tindex{m: nm}, true
 	}
-	var nbm *pmap[*pmap[unit]]
-	if ni == nil {
-		nbm, _ = br.m.Without(b)
-	} else {
-		nbm, _ = br.m.With(b, ni)
+	owned := br.m.owned()
+	nbm := br.m
+	switch {
+	case ni == nil:
+		nbm, _ = br.m.without(b, mk)
+	case ni != inner:
+		nbm, _ = br.m.with(b, ni, mk)
 	}
-	nm, _ := ix.m.With(a, &l2{m: nbm, size: br.size - 1})
+	if owned {
+		br.size--
+		return ix, true
+	}
+	nm, _ := ix.m.with(a, &l2{m: nbm, size: br.size - 1}, mk)
 	return tindex{m: nm}, true
 }

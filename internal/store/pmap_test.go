@@ -57,7 +57,7 @@ func TestPmapAgainstReferenceMap(t *testing.T) {
 		case 0, 1:
 			val := rng.Intn(1000)
 			_, hadRef := ref[key]
-			next, added := m.With(key, val)
+			next, added := m.with(key, val, nil)
 			if added == hadRef {
 				t.Fatalf("step %d: With(%d) added=%v, ref had=%v", step, key, added, hadRef)
 			}
@@ -65,7 +65,7 @@ func TestPmapAgainstReferenceMap(t *testing.T) {
 			ref[key] = val
 		case 2:
 			_, hadRef := ref[key]
-			next, removed := m.Without(key)
+			next, removed := m.without(key, nil)
 			if removed != hadRef {
 				t.Fatalf("step %d: Without(%d) removed=%v, ref had=%v", step, key, removed, hadRef)
 			}
@@ -94,14 +94,14 @@ func TestPmapAbsentKeyLookups(t *testing.T) {
 	if _, ok := m.Get(7); ok {
 		t.Error("Get on nil pmap reported a hit")
 	}
-	if next, removed := m.Without(7); removed || next.Len() != 0 {
+	if next, removed := m.without(7, nil); removed || next.Len() != 0 {
 		t.Error("Without on nil pmap claimed a removal")
 	}
-	m, _ = m.With(7, "a")
+	m, _ = m.with(7, "a", nil)
 	if _, ok := m.Get(8); ok {
 		t.Error("Get of absent sibling key reported a hit")
 	}
-	if next, added := m.With(7, "b"); added || next.Len() != 1 {
+	if next, added := m.with(7, "b", nil); added || next.Len() != 1 {
 		t.Error("overwrite of existing key reported as insertion")
 	}
 	if got, _ := m.Get(7); got != "a" {
@@ -149,14 +149,14 @@ func TestTindexAgainstReference(t *testing.T) {
 	for step := 0; step < 3000; step++ {
 		k := key{ID(rng.Intn(16)), ID(rng.Intn(16)), ID(rng.Intn(32))}
 		if rng.Intn(2) == 0 {
-			next, added := ix.with(k[0], k[1], k[2])
+			next, added := ix.with(k[0], k[1], k[2], nil)
 			if added == ref[k] {
 				t.Fatalf("step %d: with(%v) added=%v, ref had=%v", step, k, added, ref[k])
 			}
 			ix = next
 			ref[k] = true
 		} else {
-			next, removed := ix.without(k[0], k[1], k[2])
+			next, removed := ix.without(k[0], k[1], k[2], nil)
 			if removed != ref[k] {
 				t.Fatalf("step %d: without(%v) removed=%v, ref had=%v", step, k, removed, ref[k])
 			}

@@ -582,9 +582,12 @@ func (s *Store) commitGroup(batch []*commitWaiter) {
 // prepareWaiter validates w's ops against the builder and applies them
 // speculatively, recording per-op change counts and the effective
 // (no-op-filtered) ops for the commit hook. Any failure rolls the builder
-// back to its pre-waiter state — rollback is O(1) because the builder's
-// indexes are persistent values.
+// back to its pre-waiter state — rollback is O(1) because nothing reachable
+// from save is mutable while the waiter runs. When the waiter ends, on
+// success or rollback, its nodes are frozen, so the next waiter's save and
+// the sealed version are just as safe.
 func (s *Store) prepareWaiter(b *builder, w *commitWaiter) {
+	defer b.mk.freeze()
 	save := *b
 	ns := make([]int, len(w.ops))
 	var eff []Op
@@ -808,10 +811,14 @@ func (s *Store) Validate() error { return s.View().Validate() }
 
 // ---- builder ---------------------------------------------------------------
 
-// builder accumulates the next version by path-copying from a base version.
-// It is only ever touched by the commit leader under writeMu. Because its
-// index fields are persistent values, copying the struct snapshots the whole
-// builder state — prepareWaiter uses that for O(1) rollback.
+// builder accumulates the next version from a base version. It is only ever
+// touched by the commit leader under writeMu. Trie nodes created by the
+// waiter being applied are mutable and updated in place by that waiter's
+// later inserts (see marks); prepareWaiter freezes them when the waiter
+// ends. Everything reachable from the base version, or from any earlier
+// copy of the builder struct, is therefore frozen and shared, never changed
+// — so copying the struct snapshots the whole builder state, and
+// prepareWaiter uses that for O(1) rollback.
 type builder struct {
 	dict       *Dict
 	spo        tindex
@@ -820,6 +827,8 @@ type builder struct {
 	size       int
 	generation uint64
 	dirty      bool
+	// mk records the mutable flags set by the current waiter.
+	mk *marks
 }
 
 func newBuilder(base *version, dict *Dict) *builder {
@@ -830,6 +839,7 @@ func newBuilder(base *version, dict *Dict) *builder {
 		osp:        base.osp,
 		size:       base.size,
 		generation: base.generation,
+		mk:         &marks{},
 	}
 }
 
@@ -876,13 +886,13 @@ func (b *builder) add(t rdf.Triple) bool {
 	sid := b.dict.Intern(t.Subject)
 	pid := b.dict.Intern(t.Predicate)
 	oid := b.dict.Intern(t.Object)
-	nspo, added := b.spo.with(sid, pid, oid)
+	nspo, added := b.spo.with(sid, pid, oid, b.mk)
 	if !added {
 		return false
 	}
 	b.spo = nspo
-	b.pos, _ = b.pos.with(pid, oid, sid)
-	b.osp, _ = b.osp.with(oid, sid, pid)
+	b.pos, _ = b.pos.with(pid, oid, sid, b.mk)
+	b.osp, _ = b.osp.with(oid, sid, pid, b.mk)
 	b.size++
 	b.generation++
 	b.dirty = true
@@ -890,13 +900,13 @@ func (b *builder) add(t rdf.Triple) bool {
 }
 
 func (b *builder) removeIDs(sid, pid, oid ID) bool {
-	nspo, removed := b.spo.without(sid, pid, oid)
+	nspo, removed := b.spo.without(sid, pid, oid, b.mk)
 	if !removed {
 		return false
 	}
 	b.spo = nspo
-	b.pos, _ = b.pos.without(pid, oid, sid)
-	b.osp, _ = b.osp.without(oid, sid, pid)
+	b.pos, _ = b.pos.without(pid, oid, sid, b.mk)
+	b.osp, _ = b.osp.without(oid, sid, pid, b.mk)
 	b.size--
 	b.generation++
 	b.dirty = true
@@ -912,17 +922,12 @@ func (b *builder) clear() {
 	b.dirty = true
 }
 
-// filter returns the subset of ts that would change the builder state:
-// present triples when removing, valid absent ones when adding. The input
-// slice is never mutated.
-func (b *builder) filter(ts []rdf.Triple, present bool) []rdf.Triple {
+// present returns the triples of ts the builder holds. The input slice is
+// never mutated.
+func (b *builder) present(ts []rdf.Triple) []rdf.Triple {
 	eff := make([]rdf.Triple, 0, len(ts))
 	for _, t := range ts {
-		ids, ok := b.lookupTriple(t)
-		has := ok && b.spo.has(ids[0], ids[1], ids[2])
-		if present && has {
-			eff = append(eff, t)
-		} else if !present && t.Valid() && !has {
+		if b.has(t) {
 			eff = append(eff, t)
 		}
 	}
@@ -937,22 +942,22 @@ func (b *builder) applyOp(op Op) (int, Op, error) {
 	var none Op
 	switch op.Kind {
 	case OpAdd:
-		// Reduce the batch to triples that will actually land, so the commit
-		// hook (and therefore the WAL) never records no-ops.
-		op.Triples = b.filter(op.Triples, false)
-		if len(op.Triples) == 0 {
-			return 0, none, nil
-		}
-		op.Gen = b.generation
-		n := 0
+		// Reduce the batch to triples that actually land, so the commit hook
+		// (and therefore the WAL) never records no-ops.
+		gen := b.generation
+		eff := make([]rdf.Triple, 0, len(op.Triples))
 		for _, t := range op.Triples {
-			if b.add(t) {
-				n++
+			if t.Valid() && b.add(t) {
+				eff = append(eff, t)
 			}
 		}
-		return n, op, nil
+		if len(eff) == 0 {
+			return 0, none, nil
+		}
+		op.Triples, op.Gen = eff, gen
+		return len(eff), op, nil
 	case OpRemove:
-		op.Triples = b.filter(op.Triples, true)
+		op.Triples = b.present(op.Triples)
 		if len(op.Triples) == 0 {
 			return 0, none, nil
 		}

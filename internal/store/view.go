@@ -329,13 +329,24 @@ func (sv StoreView) Triples() []rdf.Triple { return sv.Match(nil, nil, nil) }
 // predicate-sorted order — used by the G-SACS result assembler.
 func (sv StoreView) DescribeResource(sub rdf.Term) []rdf.Triple {
 	ts := sv.Match(sub, nil, nil)
-	sort.Slice(ts, func(i, j int) bool {
-		pi, pj := ts[i].Predicate.String(), ts[j].Predicate.String()
-		if pi != pj {
-			return pi < pj
+	// Render each sort key once rather than in every comparison.
+	type keyed struct {
+		p, o string
+		t    rdf.Triple
+	}
+	ks := make([]keyed, len(ts))
+	for i, t := range ts {
+		ks[i] = keyed{t.Predicate.String(), t.Object.String(), t}
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		if ks[i].p != ks[j].p {
+			return ks[i].p < ks[j].p
 		}
-		return ts[i].Object.String() < ts[j].Object.String()
+		return ks[i].o < ks[j].o
 	})
+	for i := range ks {
+		ts[i] = ks[i].t
+	}
 	return ts
 }
 
@@ -356,7 +367,8 @@ func (sv StoreView) Stats() Stats {
 }
 
 // Validate checks index consistency of the pinned version: SPO/POS/OSP
-// agreement, per-branch cardinality counts, size, and dictionary resolution.
+// agreement, per-branch cardinality counts, size, dictionary resolution, and
+// the shape of every trie (cached counts, bitmaps, no node left mutable).
 func (sv StoreView) Validate() error {
 	v := sv.ver()
 	n := 0
@@ -387,13 +399,27 @@ func (sv StoreView) Validate() error {
 		name string
 		ix   tindex
 	}{{"SPO", v.spo}, {"POS", v.pos}, {"OSP", v.osp}} {
+		if err := ix.ix.m.check(); err != nil {
+			return fmt.Errorf("store: %s: %w", ix.name, err)
+		}
 		total := 0
 		ok := ix.ix.m.Range(func(key ID, br *l2) bool {
+			if err = br.m.check(); err != nil {
+				err = fmt.Errorf("store: %s branch %d: %w", ix.name, key, err)
+				return false
+			}
 			got := 0
 			br.m.Range(func(_ ID, inner *pmap[unit]) bool {
+				if err = inner.check(); err != nil {
+					return false
+				}
 				got += inner.Len()
 				return true
 			})
+			if err != nil {
+				err = fmt.Errorf("store: %s branch %d: %w", ix.name, key, err)
+				return false
+			}
 			if got != br.size {
 				err = fmt.Errorf("store: %s cardinality %d != %d for id %d", ix.name, br.size, got, key)
 				return false

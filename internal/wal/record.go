@@ -113,47 +113,48 @@ func opKindOf(k store.OpKind) (Kind, bool) {
 
 // encodeRecord renders the full frame (header + payload) for r.
 func encodeRecord(r Record) ([]byte, error) {
-	payload := make([]byte, 0, 64)
-	payload = append(payload, byte(r.Kind))
-	payload = binary.AppendUvarint(payload, r.Gen)
+	// The payload is appended behind a reserved header, so a frame costs one
+	// allocation when its size is known up front.
+	frame := make([]byte, frameHeaderLen, frameHeaderLen+64+len(r.Data))
+	frame = append(frame, byte(r.Kind))
+	frame = binary.AppendUvarint(frame, r.Gen)
 	switch r.Kind {
 	case KindAdd, KindRemove, KindReplace, KindClear:
 		if r.Kind == KindReplace && len(r.Triples) != 2 {
 			return nil, fmt.Errorf("wal: replace record needs [old, new], got %d triples", len(r.Triples))
 		}
-		payload = binary.AppendUvarint(payload, uint64(len(r.Triples)))
+		frame = binary.AppendUvarint(frame, uint64(len(r.Triples)))
 		for _, t := range r.Triples {
 			line := t.String()
-			payload = binary.AppendUvarint(payload, uint64(len(line)))
-			payload = append(payload, line...)
+			frame = binary.AppendUvarint(frame, uint64(len(line)))
+			frame = append(frame, line...)
 		}
 	case KindAudit:
-		payload = binary.AppendUvarint(payload, 1)
-		payload = binary.AppendUvarint(payload, uint64(len(r.Data)))
-		payload = append(payload, r.Data...)
+		frame = binary.AppendUvarint(frame, 1)
+		frame = binary.AppendUvarint(frame, uint64(len(r.Data)))
+		frame = append(frame, r.Data...)
 	case KindBatch:
 		if len(r.Ops) == 0 {
 			return nil, fmt.Errorf("wal: batch record needs at least one sub-op")
 		}
-		payload = binary.AppendUvarint(payload, uint64(len(r.Ops)))
+		frame = binary.AppendUvarint(frame, uint64(len(r.Ops)))
 		for i, sub := range r.Ops {
 			blob, err := encodeSubOp(sub)
 			if err != nil {
 				return nil, fmt.Errorf("wal: batch sub-op %d: %w", i, err)
 			}
-			payload = binary.AppendUvarint(payload, uint64(len(blob)))
-			payload = append(payload, blob...)
+			frame = binary.AppendUvarint(frame, uint64(len(blob)))
+			frame = append(frame, blob...)
 		}
 	default:
 		return nil, fmt.Errorf("wal: cannot encode record kind %d", r.Kind)
 	}
+	payload := frame[frameHeaderLen:]
 	if len(payload) > maxRecordBytes {
 		return nil, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecordBytes)
 	}
-	frame := make([]byte, frameHeaderLen+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeaderLen:], payload)
 	return frame, nil
 }
 

@@ -591,34 +591,37 @@ func encodeGroup(ops []store.Op, sp *obs.Span) ([]byte, error) {
 	return encodeRecord(Record{Kind: KindBatch, Gen: ops[0].Gen, Ops: subs})
 }
 
-// AppendAudit journals an opaque audit payload. Audit entries are never
-// individually fsynced: under FsyncAlways the next mutation record's fsync
-// flushes them, and an audit entry always precedes the mutation it describes
-// — so any acknowledged mutation's audit trail is durable with it.
-func (r *Repository) AppendAudit(data []byte) error {
-	frame, err := encodeRecord(Record{Kind: KindAudit, Data: data})
-	if err != nil {
-		return err
+// AppendAudit journals opaque audit payloads, one KindAudit record each, in
+// argument order. All of them go to the log with one lock acquisition and
+// one write, all or none. Audit entries are never individually fsynced:
+// under FsyncAlways the next mutation record's fsync flushes them, and an
+// audit entry always precedes the mutation it describes — so any
+// acknowledged mutation's audit trail is durable with it.
+func (r *Repository) AppendAudit(data ...[]byte) error {
+	if len(data) == 0 {
+		return nil
 	}
-	return r.append(context.Background(), frame, false)
-}
-
-// append writes one frame to the active segment, optionally fsyncing.
-//
-// Failure handling is deliberately asymmetric. A failed *write* is repaired
-// by truncating back to the last committed offset — the frame never happened.
-// A failed *fsync* is fail-stop: the kernel may have dropped dirty pages we
-// can no longer re-write (the "fsyncgate" lesson), so the log is marked
-// broken and every later append refuses until the process restarts and
-// recovery re-establishes a trustworthy tail.
-func (r *Repository) append(ctx context.Context, frame []byte, syncNow bool) error {
-	return r.appendFrames(ctx, [][]byte{frame}, syncNow)
+	frames := make([][]byte, len(data))
+	for i, d := range data {
+		frame, err := encodeRecord(Record{Kind: KindAudit, Data: d})
+		if err != nil {
+			return err
+		}
+		frames[i] = frame
+	}
+	return r.appendFrames(context.Background(), frames, false)
 }
 
 // appendFrames writes a group of frames to the active segment as one
-// contiguous write, optionally fsyncing once afterwards. The write is
-// all-or-nothing: on failure the segment is truncated back to the last
-// committed offset, so a group never half-lands.
+// contiguous write, optionally fsyncing once afterwards.
+//
+// Failure handling is deliberately asymmetric. A failed *write* is repaired
+// by truncating back to the last committed offset — the group never
+// happened, so it never half-lands. A failed *fsync* is fail-stop: the
+// kernel may have dropped dirty pages we can no longer re-write (the
+// "fsyncgate" lesson), so the log is marked broken and every later append
+// refuses until the process restarts and recovery re-establishes a
+// trustworthy tail.
 func (r *Repository) appendFrames(ctx context.Context, frames [][]byte, syncNow bool) error {
 	buf := frames[0]
 	if len(frames) > 1 {
